@@ -16,6 +16,10 @@ use mdsim::analysis::Msd;
 use mdsim::dump::{Frame, TrajectoryReader, TrajectoryWriter};
 use mdsim::{water_ions, BuilderParams, Species};
 use perfmodel::Stopwatch;
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// Distinguishes the trajectory files of concurrent runs in one process.
+static NEXT_TRAJECTORY: AtomicUsize = AtomicUsize::new(0);
 
 /// Paper rows: (atoms, read s, post-process s, in-situ s).
 pub const PAPER_ROWS: [(usize, f64, f64, f64); 2] =
@@ -96,7 +100,12 @@ pub fn run_with(cfg: Config) -> Outcome {
             .collect();
         let mut schedule = Schedule::empty(1);
         schedule.per_analysis[0] = AnalysisSchedule::new(analysis_steps.clone(), vec![]);
-        let path = tmp.join(format!("table4_{}_{}.trj", std::process::id(), atoms));
+        let path = tmp.join(format!(
+            "table4_{}_{}_{}.trj",
+            std::process::id(),
+            NEXT_TRAJECTORY.fetch_add(1, Ordering::Relaxed),
+            atoms
+        ));
         let mut writer = TrajectoryWriter::create(&path).expect("create trajectory");
         let mut msd = Msd::new("msd (A4)", vec![Species::Hydronium, Species::Ion]);
         msd.setup(&sys);
@@ -119,6 +128,7 @@ pub fn run_with(cfg: Config) -> Outcome {
         let mut reader = TrajectoryReader::open(&path).expect("open trajectory");
         let frames = reader.read_all().expect("read frames");
         let read_time = sw.elapsed();
+        std::fs::remove_file(&path).ok();
         let sw = Stopwatch::start();
         let first = &frames[0];
         let reference: Vec<(usize, [f64; 3])> = first
@@ -133,7 +143,6 @@ pub fn run_with(cfg: Config) -> Outcome {
         }
         std::hint::black_box(acc);
         let postprocess_time = sw.elapsed();
-        std::fs::remove_file(&path).ok();
 
         // serial HPC reader model: one rank parsing a text-ish trajectory
         // from shared storage at ~40 MB/s effective (the paper's custom

@@ -18,7 +18,10 @@
 //!   adopted suffix back into the composite executed schedule;
 //! * [`RescheduleRecord`] — one record per trigger, exported as
 //!   `reschedule/v1` JSON (schema documented in `docs/ADAPTIVE.md` and
-//!   `EXPERIMENTS.md`).
+//!   `EXPERIMENTS.md`);
+//! * the crate-private controller that the coupler's step loop calls
+//!   after every step: it evaluates the triggers and re-solves,
+//!   re-certifies and splices.
 //!
 //! The control-loop contract — trigger semantics, determinism guarantees,
 //! carry-aware re-certification — is documented end to end in
@@ -27,9 +30,13 @@
 use insitu_types::json::Value;
 use insitu_types::{ResourceConfig, Schedule, ScheduleProblem};
 use milp::SolveOptions;
+use perfmodel::Stopwatch;
 use std::collections::BTreeMap;
 
-use crate::runtime::AnalysisTimes;
+use crate::advisor::{Advisor, AdvisorOptions};
+use crate::runtime::{
+    AnalysisTimes, Controller, Coupling, Simulator, EVENT_RESCHEDULE, SPAN_RESCHEDULE,
+};
 
 /// Configuration of the adaptive control loop.
 ///
@@ -270,6 +277,214 @@ pub fn splice_schedule(schedule: &Schedule, step: usize, suffix: &Schedule) -> S
                 }
             })
             .collect(),
+    }
+}
+
+/// The controller [`crate::runtime::run_coupled_adaptive`] hands to the
+/// coupler's step loop: the trigger state, and the re-solve, certify and
+/// splice of each reschedule attempt.
+pub(crate) struct Reschedule<'p> {
+    problem: &'p ScheduleProblem,
+    config: &'p AdaptiveConfig,
+    advisor: Advisor,
+    /// The run's trace context: instance fingerprint, sequence 0, so its
+    /// ids reproduce across runs.
+    pub(crate) run_ctx: obs::TraceContext,
+    /// See [`crate::AdaptiveReport::predicted`].
+    pub(crate) predicted: Vec<f64>,
+    pub(crate) reschedules: Vec<RescheduleRecord>,
+    /// Per analysis, the number of steps it paid its per-step hook on.
+    active_steps: Vec<usize>,
+    // reset-baseline budget trigger state: the window opens at the start
+    // of the last adopted schedule and is judged against *its* pro-rated
+    // budget (docs/ADAPTIVE.md)
+    base_step: usize,
+    base_measured: f64,
+    base_rate: f64,
+    last_attempt: Option<usize>,
+}
+
+impl<'p> Reschedule<'p> {
+    /// A controller for running `schedule` against `problem`, its
+    /// prediction seeded with the schedule's Eq. 2–4 series.
+    pub(crate) fn new(
+        problem: &'p ScheduleProblem,
+        schedule: &Schedule,
+        config: &'p AdaptiveConfig,
+    ) -> Result<Self, String> {
+        let predicted = certify::replay_time_series(problem, schedule)
+            .map_err(|e| format!("predicted series replay failed: {e:?}"))?
+            .iter()
+            .map(|r| r.to_f64())
+            .collect();
+        Ok(Reschedule {
+            problem,
+            config,
+            advisor: Advisor::new(AdvisorOptions {
+                solver: config.solver.clone(),
+                exact_steps_limit: config.exact_steps_limit,
+            }),
+            run_ctx: obs::TraceContext::derive(certify::fingerprint(problem).0, 0),
+            predicted,
+            reschedules: Vec::new(),
+            active_steps: vec![0; problem.analyses.len()],
+            base_step: 0,
+            base_measured: 0.0,
+            base_rate: problem.resources.step_threshold,
+            last_attempt: None,
+        })
+    }
+
+    /// The trigger that trips after step `j`, if any.
+    fn trigger(&self, j: usize, measured_cum: f64) -> Option<TriggerReason> {
+        let cfg = self.config;
+        if j == self.problem.resources.steps
+            || !j.is_multiple_of(cfg.check_every.max(1))
+            || self.reschedules.len() >= cfg.max_reschedules
+            || self
+                .last_attempt
+                .is_some_and(|last| j < last + cfg.cooldown_steps.max(1))
+        {
+            return None;
+        }
+        if cfg.trigger_on_budget
+            && self.base_rate.is_finite()
+            && measured_cum - self.base_measured > self.base_rate * (j - self.base_step) as f64
+        {
+            Some(TriggerReason::Budget)
+        } else if cfg.drift_threshold.is_finite()
+            && measured_cum - self.predicted[j] > cfg.drift_threshold
+        {
+            Some(TriggerReason::Drift)
+        } else {
+            None
+        }
+    }
+}
+
+impl Controller for Reschedule<'_> {
+    fn tag_root(&self, root: &mut obs::SpanGuard<'_>) {
+        root.tag("trace_id", self.run_ctx.trace_id_hex());
+    }
+
+    fn after_step<Sim: Simulator>(&mut self, run: &mut Coupling<'_, '_, Sim>, j: usize) {
+        for (n, &active) in self.active_steps.iter_mut().zip(&run.active) {
+            *n += usize::from(active);
+        }
+        let measured_cum = run.measured_cum;
+        let Some(reason) = self.trigger(j, measured_cum) else {
+            return;
+        };
+        self.last_attempt = Some(j);
+        let problem = self.problem;
+        let steps = problem.resources.steps;
+
+        // each attempt gets a derived child context: same lane (trace
+        // id), a distinct deterministic span id per attempt ordinal
+        let attempt_ctx = self.run_ctx.child(self.reschedules.len() as u64 + 1);
+        let _attempt_guard = attempt_ctx.enter();
+        let trace = run.trace;
+        let mut resched_span = trace.span(SPAN_RESCHEDULE);
+        resched_span.tag("step", j);
+        resched_span.tag("reason", reason.to_string().as_str());
+        resched_span.tag("attempt_span", format!("{:016x}", attempt_ctx.span_id));
+        let mut record = RescheduleRecord {
+            step: j,
+            reason,
+            drift: measured_cum - self.predicted[j],
+            measured_cum,
+            predicted_cum: self.predicted[j],
+            remaining_steps: steps - j,
+            solve_ms: 0.0,
+            old_objective: 0.0,
+            new_objective: 0.0,
+            adopted: false,
+            verdict: String::new(),
+        };
+
+        let cur = &run.schedule;
+        let attempt = (|| -> Result<_, String> {
+            let rp = remaining_problem(
+                problem,
+                &run.times,
+                &self.active_steps,
+                &run.set_up,
+                j,
+                measured_cum,
+            )?;
+            let tail = schedule_tail(cur, j);
+            let held = certify::memory_state_at(problem, cur, j, &run.set_up)
+                .map_err(|e| format!("carry replay failed: {e:?}"))?;
+            let carry = certify::SuffixCarry {
+                held_mem: held.iter().map(|m| m.as_ref().map(|r| r.to_f64())).collect(),
+                steps_since_run: cur
+                    .per_analysis
+                    .iter()
+                    .map(|s| {
+                        s.analysis_steps
+                            .iter()
+                            .rev()
+                            .find(|&&r| r <= j)
+                            .map(|&r| j - r)
+                    })
+                    .collect(),
+            };
+            let old_objective = tail.objective(&rp);
+            let sw = Stopwatch::start();
+            let outcome = self
+                .advisor
+                .recommend_remaining(&rp, &tail, &carry)
+                .map_err(|e| e.to_string());
+            let solve_ms = sw.elapsed() * 1e3;
+            let out = outcome?;
+            let suffix_series = certify::replay_time_series(&rp, &out.schedule)
+                .map_err(|e| format!("suffix series replay failed: {e:?}"))?;
+            Ok((rp, out, suffix_series, old_objective, solve_ms))
+        })();
+
+        match attempt {
+            Ok((rp, out, suffix_series, old_objective, solve_ms)) => {
+                record.solve_ms = solve_ms;
+                record.old_objective = old_objective;
+                record.new_objective = out.objective;
+                record.adopted = true;
+                record.verdict = out.certification.verdict.to_string();
+
+                // splice the new prediction in at the measured baseline
+                // *before* paying new setups: the suffix series' index 0
+                // is exactly those analyses' remaining fixed cost
+                for (t, r) in suffix_series.iter().enumerate() {
+                    self.predicted[j + t] = measured_cum + r.to_f64();
+                }
+                self.base_step = j;
+                self.base_measured = measured_cum;
+                self.base_rate = rp.resources.step_threshold;
+                run.adopt(j, &out.schedule);
+            }
+            Err(e) => {
+                record.verdict = e;
+            }
+        }
+
+        resched_span.tag("solve_ms", record.solve_ms);
+        resched_span.tag("adopted", record.adopted);
+        trace.event(
+            EVENT_RESCHEDULE,
+            &[
+                ("step", record.step.into()),
+                ("reason", record.reason.to_string().as_str().into()),
+                ("drift", record.drift.into()),
+                ("measured_cum", record.measured_cum.into()),
+                ("predicted_cum", record.predicted_cum.into()),
+                ("remaining_steps", record.remaining_steps.into()),
+                ("solve_ms", record.solve_ms.into()),
+                ("old_objective", record.old_objective.into()),
+                ("new_objective", record.new_objective.into()),
+                ("adopted", record.adopted.into()),
+                ("verdict", record.verdict.as_str().into()),
+            ],
+        );
+        self.reschedules.push(record);
     }
 }
 

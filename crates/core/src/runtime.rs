@@ -4,9 +4,14 @@
 //! The coupler drives `S` steps of a [`Simulator`], and after each step
 //! invokes, per the schedule, each analysis's per-step hook (the `it` cost:
 //! e.g. copying state into a history buffer), its analyze hook (`ct`) and
-//! its output hook (`ot`). All four phases are wall-clock timed per
-//! analysis so a run can be compared against the model's predictions and
-//! the threshold the schedule was solved for.
+//! its output hook (`ot`). Every phase is timed per analysis on the
+//! simulator's own clock ([`Simulator::now`]: the monotonic wall clock by
+//! default, a modeled clock in tests) so a run can be compared against
+//! the model's predictions and the threshold the schedule was solved for.
+//!
+//! All entry points share one step loop, which hands the run to a
+//! controller after each step: the static one never acts, the adaptive
+//! one ([`crate::adaptive`]) re-solves and splices when a trigger trips.
 //!
 //! [`run_coupled_traced`] additionally emits a **step-indexed run
 //! timeline** into an [`obs::TraceHandle`]: one [`SPAN_STEP`] span per
@@ -17,14 +22,11 @@
 //! [`crate::attribution::attribute`]'s predicted-vs-measured drift
 //! report; span names and tags are documented in `docs/OBSERVABILITY.md`.
 
-use crate::adaptive::{
-    remaining_problem, schedule_tail, splice_schedule, AdaptiveConfig, RescheduleRecord,
-    TriggerReason,
-};
-use crate::advisor::{Advisor, AdvisorOptions};
+use crate::adaptive::{splice_schedule, AdaptiveConfig, Reschedule, RescheduleRecord};
 use insitu_types::json::Value;
 use insitu_types::{CouplingTrace, KernelTelemetry, Schedule, ScheduleProblem};
-use perfmodel::Stopwatch;
+use std::sync::OnceLock;
+use std::time::Instant;
 
 /// Root span of a traced coupled run (tags: `steps`, `analyses`).
 pub const SPAN_RUN: &str = "run.coupled";
@@ -74,6 +76,19 @@ pub trait Simulator {
     fn kernel_telemetry(&self) -> Option<&KernelTelemetry> {
         None
     }
+
+    /// The current time in seconds, the one clock every coupler bracket
+    /// reads (setup, advance and output, per-step, analyze, output), and
+    /// so the clock the adaptive triggers judge.
+    ///
+    /// The default reads the monotonic wall clock. A simulator may return
+    /// a modeled time instead, advanced by its own steps and, through its
+    /// state, by its analyses' declared costs: measured totals and
+    /// trigger steps then come out exact instead of depending on load.
+    fn now(&self) -> f64 {
+        static EPOCH: OnceLock<Instant> = OnceLock::new();
+        EPOCH.get_or_init(Instant::now).elapsed().as_secs_f64()
+    }
 }
 
 /// An in-situ analysis attached to a simulation with state `S`.
@@ -104,7 +119,8 @@ pub struct CouplerConfig {
     pub sim_output_every: usize,
 }
 
-/// Measured wall-clock cost of one analysis across a coupled run.
+/// Measured cost of one analysis across a coupled run, in seconds on the
+/// simulator's clock.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct AnalysisTimes {
     /// Analysis name.
@@ -126,7 +142,7 @@ pub struct AnalysisTimes {
 impl AnalysisTimes {
     /// Total in-situ overhead attributable to this analysis: the sum of
     /// its four measured brackets, `setup + per_step + analyze + output`
-    /// (the wall-clock counterparts of the model's `ft + Σit + Σct +
+    /// (the measured counterparts of the model's `ft + Σit + Σct +
     /// Σot`).
     ///
     /// # Examples
@@ -264,9 +280,9 @@ pub fn run_coupled<Sim: Simulator>(
 /// output span record is dropped under overload. Every child carries its
 /// own `step` tag for the same reason.
 ///
-/// The wall-clock report is measured by the same `Stopwatch` brackets as
-/// the untraced path — spans are additive instrumentation, not a
-/// replacement for the report's timing.
+/// The report is measured by the same [`Simulator::now`] brackets as the
+/// untraced path — spans are additive instrumentation, not a replacement
+/// for the report's timing.
 pub fn run_coupled_traced<Sim: Simulator>(
     sim: &mut Sim,
     analyses: &mut [Box<dyn Analysis<Sim::State> + '_>],
@@ -274,118 +290,209 @@ pub fn run_coupled_traced<Sim: Simulator>(
     cfg: &CouplerConfig,
     trace: &obs::TraceHandle,
 ) -> RunReport {
+    run_loop(sim, analyses, schedule, cfg, trace, &mut StaticSchedule).0
+}
+
+/// What the step loop consults after every step.
+pub(crate) trait Controller {
+    /// Adds the controller's own tags to the run's root span.
+    fn tag_root(&self, _root: &mut obs::SpanGuard<'_>) {}
+
+    /// Inspects the run after step `j` and may splice a new suffix into
+    /// it ([`Coupling::adopt`]).
+    fn after_step<Sim: Simulator>(&mut self, _run: &mut Coupling<'_, '_, Sim>, _j: usize) {}
+}
+
+/// The static coupler: executes the schedule as solved, never acts.
+struct StaticSchedule;
+
+impl Controller for StaticSchedule {}
+
+/// One coupled run in progress: the simulation, its analyses, and
+/// everything measured so far.
+pub(crate) struct Coupling<'r, 'a, Sim: Simulator> {
+    sim: &'r mut Sim,
+    analyses: &'r mut [Box<dyn Analysis<Sim::State> + 'a>],
+    pub(crate) trace: &'r obs::TraceHandle,
+    /// The schedule being executed: the static one, or the prefix of it
+    /// already run plus every suffix a controller adopted since.
+    pub(crate) schedule: Schedule,
+    pub(crate) times: Vec<AnalysisTimes>,
+    /// Analyses the current schedule runs at least once.
+    pub(crate) active: Vec<bool>,
+    /// Analyses whose setup hook has run.
+    pub(crate) set_up: Vec<bool>,
+    /// Measured analysis seconds so far, setup included.
+    pub(crate) measured_cum: f64,
+    sim_time: f64,
+}
+
+/// Seconds `hook` takes on `sim`'s clock.
+fn timed<Sim: Simulator>(sim: &Sim, hook: impl FnOnce(&Sim::State)) -> f64 {
+    let t0 = sim.now();
+    hook(sim.state());
+    sim.now() - t0
+}
+
+impl<Sim: Simulator> Coupling<'_, '_, Sim> {
+    /// Runs the setup hook (the `ft` bracket) of every active analysis
+    /// not yet set up.
+    fn set_up_active(&mut self) {
+        let sim = &*self.sim;
+        for (i, a) in self.analyses.iter_mut().enumerate() {
+            if self.active[i] && !self.set_up[i] {
+                let mut span = self.trace.span(SPAN_ANALYSIS_SETUP);
+                span.tag("analysis", i);
+                span.tag("name", a.name());
+                let dt = timed(sim, |s| a.setup(s));
+                self.times[i].setup = dt;
+                self.measured_cum += dt;
+                self.set_up[i] = true;
+            }
+        }
+    }
+
+    /// Simulation step `j`: advance (plus `O_S` at its cadence), then the
+    /// per-step, analyze and output hooks the schedule calls for.
+    fn step(&mut self, j: usize, sim_output_every: usize) {
+        let mut step_span = self.trace.span(SPAN_STEP);
+        step_span.tag("step", j);
+
+        let t0 = self.sim.now();
+        {
+            let mut span = self.trace.span(SPAN_SIM_ADVANCE);
+            span.tag("step", j);
+            self.sim.advance();
+        }
+        if sim_output_every > 0 && j.is_multiple_of(sim_output_every) {
+            let mut span = self.trace.span(SPAN_SIM_OUTPUT);
+            span.tag("step", j);
+            self.sim.write_output();
+        }
+        self.sim_time += self.sim.now() - t0;
+
+        let sim = &*self.sim;
+        for (i, a) in self.analyses.iter_mut().enumerate() {
+            if !self.active[i] {
+                continue;
+            }
+            let sched = &self.schedule.per_analysis[i];
+            let times = &mut self.times[i];
+            {
+                let mut span = self.trace.span(SPAN_ANALYSIS_PER_STEP);
+                span.tag("step", j);
+                span.tag("analysis", i);
+                let dt = timed(sim, |s| a.per_step(s));
+                times.per_step += dt;
+                self.measured_cum += dt;
+            }
+            if sched.runs_at(j) {
+                let scheduled_output = sched.outputs_at(j);
+                {
+                    let mut span = self.trace.span(SPAN_ANALYSIS_ANALYZE);
+                    span.tag("step", j);
+                    span.tag("analysis", i);
+                    span.tag("name", a.name());
+                    span.tag("output", scheduled_output);
+                    let dt = timed(sim, |s| a.analyze(s));
+                    times.analyze += dt;
+                    times.analyze_count += 1;
+                    self.measured_cum += dt;
+                }
+                if scheduled_output {
+                    let mut span = self.trace.span(SPAN_ANALYSIS_OUTPUT);
+                    span.tag("step", j);
+                    span.tag("analysis", i);
+                    span.tag("name", a.name());
+                    let dt = timed(sim, |s| a.output(s));
+                    times.output += dt;
+                    times.output_count += 1;
+                    self.measured_cum += dt;
+                }
+            }
+        }
+    }
+
+    /// Grafts `suffix` (in suffix steps) onto the schedule after `step`,
+    /// and sets up the analyses it activates for the first time.
+    /// Analyses it deactivates stop paying per-step cost but keep their
+    /// buffers.
+    pub(crate) fn adopt(&mut self, step: usize, suffix: &Schedule) {
+        self.schedule = splice_schedule(&self.schedule, step, suffix);
+        for (active, s) in self.active.iter_mut().zip(&suffix.per_analysis) {
+            *active = s.count() > 0;
+        }
+        self.set_up_active();
+    }
+}
+
+/// The one step loop behind every entry point: sets up the active
+/// analyses, then runs each step and hands the run to `controller`.
+/// Returns the report and the schedule actually executed.
+fn run_loop<Sim: Simulator, C: Controller>(
+    sim: &mut Sim,
+    analyses: &mut [Box<dyn Analysis<Sim::State> + '_>],
+    schedule: &Schedule,
+    cfg: &CouplerConfig,
+    trace: &obs::TraceHandle,
+    controller: &mut C,
+) -> (RunReport, Schedule) {
     assert_eq!(
         analyses.len(),
         schedule.per_analysis.len(),
         "one schedule entry per analysis"
     );
-    let mut times: Vec<AnalysisTimes> = analyses
-        .iter()
-        .map(|a| AnalysisTimes {
-            name: a.name().to_string(),
-            ..AnalysisTimes::default()
-        })
-        .collect();
-    let active: Vec<bool> = schedule
-        .per_analysis
-        .iter()
-        .map(|s| s.count() > 0)
-        .collect();
+    let n = analyses.len();
     let telemetry_baseline = sim.kernel_telemetry().cloned().unwrap_or_default();
 
     let mut run_span = trace.span(SPAN_RUN);
     run_span.tag("steps", cfg.steps);
-    run_span.tag("analyses", analyses.len());
+    run_span.tag("analyses", n);
+    controller.tag_root(&mut run_span);
 
-    // one-time setup (ft)
-    for (i, a) in analyses.iter_mut().enumerate() {
-        if active[i] {
-            let mut span = trace.span(SPAN_ANALYSIS_SETUP);
-            span.tag("analysis", i);
-            span.tag("name", a.name());
-            let sw = Stopwatch::start();
-            a.setup(sim.state());
-            times[i].setup = sw.elapsed();
-        }
-    }
-
-    let mut sim_time = 0.0;
+    let mut run = Coupling {
+        times: analyses
+            .iter()
+            .map(|a| AnalysisTimes {
+                name: a.name().to_string(),
+                ..AnalysisTimes::default()
+            })
+            .collect(),
+        active: schedule.per_analysis.iter().map(|s| s.count() > 0).collect(),
+        set_up: vec![false; n],
+        schedule: schedule.clone(),
+        sim,
+        analyses,
+        trace,
+        measured_cum: 0.0,
+        sim_time: 0.0,
+    };
+    run.set_up_active();
     for j in 1..=cfg.steps {
-        let mut step_span = trace.span(SPAN_STEP);
-        step_span.tag("step", j);
-
-        let sw = Stopwatch::start();
-        {
-            let mut span = trace.span(SPAN_SIM_ADVANCE);
-            span.tag("step", j);
-            sim.advance();
-        }
-        if cfg.sim_output_every > 0 && j % cfg.sim_output_every == 0 {
-            let mut span = trace.span(SPAN_SIM_OUTPUT);
-            span.tag("step", j);
-            sim.write_output();
-        }
-        sim_time += sw.elapsed();
-
-        for (i, a) in analyses.iter_mut().enumerate() {
-            if !active[i] {
-                continue;
-            }
-            let sched = &schedule.per_analysis[i];
-            {
-                let mut span = trace.span(SPAN_ANALYSIS_PER_STEP);
-                span.tag("step", j);
-                span.tag("analysis", i);
-                let sw = Stopwatch::start();
-                a.per_step(sim.state());
-                times[i].per_step += sw.elapsed();
-            }
-            if sched.runs_at(j) {
-                let scheduled_output = sched.outputs_at(j);
-                {
-                    let mut span = trace.span(SPAN_ANALYSIS_ANALYZE);
-                    span.tag("step", j);
-                    span.tag("analysis", i);
-                    span.tag("name", a.name());
-                    span.tag("output", scheduled_output);
-                    let sw = Stopwatch::start();
-                    a.analyze(sim.state());
-                    times[i].analyze += sw.elapsed();
-                    times[i].analyze_count += 1;
-                }
-                if scheduled_output {
-                    let mut span = trace.span(SPAN_ANALYSIS_OUTPUT);
-                    span.tag("step", j);
-                    span.tag("analysis", i);
-                    span.tag("name", a.name());
-                    let sw = Stopwatch::start();
-                    a.output(sim.state());
-                    times[i].output += sw.elapsed();
-                    times[i].output_count += 1;
-                }
-            }
-        }
+        run.step(j, cfg.sim_output_every);
+        controller.after_step(&mut run, j);
     }
     drop(run_span);
 
-    let kernel_telemetry = sim
+    let kernel_telemetry = run
+        .sim
         .kernel_telemetry()
         .map(|t| t.delta_since(&telemetry_baseline))
         .unwrap_or_default();
-
-    RunReport {
-        sim_time,
-        analysis_times: times,
-        trace: CouplingTrace::from_schedule(schedule, cfg.steps, cfg.sim_output_every),
+    let report = RunReport {
+        sim_time: run.sim_time,
+        analysis_times: run.times,
+        trace: CouplingTrace::from_schedule(&run.schedule, cfg.steps, cfg.sim_output_every),
         kernel_telemetry,
-    }
+    };
+    (report, run.schedule)
 }
 
 /// Result of an adaptive coupled run ([`run_coupled_adaptive`]).
 #[derive(Debug, Clone)]
 pub struct AdaptiveReport {
-    /// The wall-clock run report, exactly as [`run_coupled`] would build
-    /// it — `run.trace` reflects the *final composite* schedule.
+    /// The run report, exactly as [`run_coupled`] would build it —
+    /// `run.trace` reflects the *final composite* schedule.
     pub run: RunReport,
     /// The schedule that was actually executed: the static prefix up to
     /// each reschedule point plus every adopted suffix, in absolute
@@ -424,8 +531,8 @@ impl AdaptiveReport {
 /// The control loop (full contract in `docs/ADAPTIVE.md`):
 ///
 /// 1. **Monitor** — accumulate measured setup/per-step/analyze/output
-///    time (the same stopwatch brackets as [`run_coupled`]). After step
-///    `j`, trip on either trigger:
+///    time (the same [`Simulator::now`] brackets as [`run_coupled`]).
+///    After step `j`, trip on either trigger:
 ///    * *budget*: measured time since the last adopted schedule exceeds
 ///      that schedule's pro-rated budget `cth' · (j − j₀)`;
 ///    * *drift*: `measured_cum − predicted[j]` exceeds
@@ -448,16 +555,20 @@ impl AdaptiveReport {
 /// [`EVENT_RESCHEDULE`] event tagged with the `reschedule/v1` payload
 /// into `trace`, and is recorded in [`AdaptiveReport::reschedules`].
 ///
-/// Determinism: with a fixed simulator/analysis workload, the *decision
-/// path* (which schedules are adopted) depends on wall-clock
-/// measurements, but each re-solve is deterministic for its inputs at
-/// any [`milp::SolveOptions::threads`] count — same remaining problem,
-/// same hint, same schedule out.
+/// Determinism: the *decision path* (which schedules are adopted) is a
+/// function of the simulator's clock readings, so a simulator with a
+/// modeled [`Simulator::now`] triggers at the same steps on every run,
+/// while a wall-clock one may not under load. Each re-solve is
+/// deterministic for its inputs at any [`milp::SolveOptions::threads`]
+/// count — same remaining problem, same hint, same schedule out.
 ///
 /// Errors only on structural mismatch (schedule/problem/analyses arity,
 /// `cfg.steps` ≠ `problem.resources.steps`) or a non-finite model
 /// parameter — never because a re-solve failed (those are recorded as
 /// non-adopted attempts and the run continues on the incumbent).
+///
+/// [`remaining_problem`]: crate::adaptive::remaining_problem
+/// [`Advisor::recommend_remaining`]: crate::advisor::Advisor::recommend_remaining
 pub fn run_coupled_adaptive<Sim: Simulator>(
     sim: &mut Sim,
     analyses: &mut [Box<dyn Analysis<Sim::State> + '_>],
@@ -482,282 +593,16 @@ pub fn run_coupled_adaptive<Sim: Simulator>(
             cfg.steps, problem.resources.steps
         ));
     }
-    let steps = cfg.steps;
-    let check_every = adaptive.check_every.max(1);
-    let advisor = Advisor::new(AdvisorOptions {
-        solver: adaptive.solver.clone(),
-        exact_steps_limit: adaptive.exact_steps_limit,
-    });
-
-    let mut times: Vec<AnalysisTimes> = analyses
-        .iter()
-        .map(|a| AnalysisTimes {
-            name: a.name().to_string(),
-            ..AnalysisTimes::default()
-        })
-        .collect();
-    let mut cur = schedule.clone();
-    let mut active: Vec<bool> = cur.per_analysis.iter().map(|s| s.count() > 0).collect();
-    let mut set_up = active.clone();
-    let mut active_steps = vec![0usize; n];
-    let mut predicted: Vec<f64> = certify::replay_time_series(problem, schedule)
-        .map_err(|e| format!("predicted series replay failed: {e:?}"))?
-        .iter()
-        .map(|r| r.to_f64())
-        .collect();
-    let mut reschedules: Vec<RescheduleRecord> = Vec::new();
-
-    // reset-baseline budget trigger state: the window opens at the start
-    // of the last adopted schedule and is judged against *its* pro-rated
-    // budget (docs/ADAPTIVE.md)
-    let mut base_step = 0usize;
-    let mut base_measured = 0.0f64;
-    let mut base_rate = problem.resources.step_threshold;
-    let mut last_attempt: Option<usize> = None;
-
-    let telemetry_baseline = sim.kernel_telemetry().cloned().unwrap_or_default();
-    // the whole adaptive run shares one deterministic trace context
-    // (instance fingerprint, sequence 0), so its spans land in one lane
-    // of the Chrome export and carry ids that reproduce across runs
-    let run_ctx = obs::TraceContext::derive(certify::fingerprint(problem).0, 0);
-    let _run_ctx_guard = run_ctx.enter();
-    let mut run_span = trace.span(SPAN_RUN);
-    run_span.tag("steps", steps);
-    run_span.tag("analyses", n);
-    run_span.tag("trace_id", run_ctx.trace_id_hex());
-
-    let mut measured_cum = 0.0f64;
-    for (i, a) in analyses.iter_mut().enumerate() {
-        if active[i] {
-            let mut span = trace.span(SPAN_ANALYSIS_SETUP);
-            span.tag("analysis", i);
-            span.tag("name", a.name());
-            let sw = Stopwatch::start();
-            a.setup(sim.state());
-            times[i].setup = sw.elapsed();
-            measured_cum += times[i].setup;
-        }
-    }
-
-    let mut sim_time = 0.0;
-    for j in 1..=steps {
-        {
-            let mut step_span = trace.span(SPAN_STEP);
-            step_span.tag("step", j);
-
-            let sw = Stopwatch::start();
-            {
-                let mut span = trace.span(SPAN_SIM_ADVANCE);
-                span.tag("step", j);
-                sim.advance();
-            }
-            if cfg.sim_output_every > 0 && j % cfg.sim_output_every == 0 {
-                let mut span = trace.span(SPAN_SIM_OUTPUT);
-                span.tag("step", j);
-                sim.write_output();
-            }
-            sim_time += sw.elapsed();
-
-            for (i, a) in analyses.iter_mut().enumerate() {
-                if !active[i] {
-                    continue;
-                }
-                active_steps[i] += 1;
-                let sched = &cur.per_analysis[i];
-                {
-                    let mut span = trace.span(SPAN_ANALYSIS_PER_STEP);
-                    span.tag("step", j);
-                    span.tag("analysis", i);
-                    let sw = Stopwatch::start();
-                    a.per_step(sim.state());
-                    let dt = sw.elapsed();
-                    times[i].per_step += dt;
-                    measured_cum += dt;
-                }
-                if sched.runs_at(j) {
-                    let scheduled_output = sched.outputs_at(j);
-                    {
-                        let mut span = trace.span(SPAN_ANALYSIS_ANALYZE);
-                        span.tag("step", j);
-                        span.tag("analysis", i);
-                        span.tag("name", a.name());
-                        span.tag("output", scheduled_output);
-                        let sw = Stopwatch::start();
-                        a.analyze(sim.state());
-                        let dt = sw.elapsed();
-                        times[i].analyze += dt;
-                        times[i].analyze_count += 1;
-                        measured_cum += dt;
-                    }
-                    if scheduled_output {
-                        let mut span = trace.span(SPAN_ANALYSIS_OUTPUT);
-                        span.tag("step", j);
-                        span.tag("analysis", i);
-                        span.tag("name", a.name());
-                        let sw = Stopwatch::start();
-                        a.output(sim.state());
-                        let dt = sw.elapsed();
-                        times[i].output += dt;
-                        times[i].output_count += 1;
-                        measured_cum += dt;
-                    }
-                }
-            }
-        }
-
-        // ---- control loop: evaluate triggers after step j ----
-        if j == steps || j % check_every != 0 {
-            continue;
-        }
-        if reschedules.len() >= adaptive.max_reschedules {
-            continue;
-        }
-        if let Some(last) = last_attempt {
-            if j < last + adaptive.cooldown_steps.max(1) {
-                continue;
-            }
-        }
-        let drift = measured_cum - predicted[j];
-        let reason = if adaptive.trigger_on_budget
-            && base_rate.is_finite()
-            && measured_cum - base_measured > base_rate * (j - base_step) as f64
-        {
-            Some(TriggerReason::Budget)
-        } else if adaptive.drift_threshold.is_finite() && drift > adaptive.drift_threshold {
-            Some(TriggerReason::Drift)
-        } else {
-            None
-        };
-        let Some(reason) = reason else { continue };
-        last_attempt = Some(j);
-
-        // each attempt gets a derived child context: same lane (trace
-        // id), a distinct deterministic span id per attempt ordinal
-        let attempt_ctx = run_ctx.child(reschedules.len() as u64 + 1);
-        let _attempt_guard = attempt_ctx.enter();
-        let mut resched_span = trace.span(SPAN_RESCHEDULE);
-        resched_span.tag("step", j);
-        resched_span.tag("reason", reason.to_string().as_str());
-        resched_span.tag("attempt_span", format!("{:016x}", attempt_ctx.span_id));
-        let mut record = RescheduleRecord {
-            step: j,
-            reason,
-            drift,
-            measured_cum,
-            predicted_cum: predicted[j],
-            remaining_steps: steps - j,
-            solve_ms: 0.0,
-            old_objective: 0.0,
-            new_objective: 0.0,
-            adopted: false,
-            verdict: String::new(),
-        };
-
-        let attempt = (|| -> Result<_, String> {
-            let rp = remaining_problem(problem, &times, &active_steps, &set_up, j, measured_cum)?;
-            let tail = schedule_tail(&cur, j);
-            let held = certify::memory_state_at(problem, &cur, j, &set_up)
-                .map_err(|e| format!("carry replay failed: {e:?}"))?;
-            let carry = certify::SuffixCarry {
-                held_mem: held.iter().map(|m| m.as_ref().map(|r| r.to_f64())).collect(),
-                steps_since_run: cur
-                    .per_analysis
-                    .iter()
-                    .map(|s| {
-                        s.analysis_steps
-                            .iter()
-                            .rev()
-                            .find(|&&r| r <= j)
-                            .map(|&r| j - r)
-                    })
-                    .collect(),
-            };
-            let old_objective = tail.objective(&rp);
-            let sw = Stopwatch::start();
-            let outcome = advisor
-                .recommend_remaining(&rp, &tail, &carry)
-                .map_err(|e| e.to_string());
-            let solve_ms = sw.elapsed() * 1e3;
-            let out = outcome?;
-            let suffix_series = certify::replay_time_series(&rp, &out.schedule)
-                .map_err(|e| format!("suffix series replay failed: {e:?}"))?;
-            Ok((rp, out, suffix_series, old_objective, solve_ms))
-        })();
-
-        match attempt {
-            Ok((rp, out, suffix_series, old_objective, solve_ms)) => {
-                record.solve_ms = solve_ms;
-                record.old_objective = old_objective;
-                record.new_objective = out.objective;
-                record.adopted = true;
-                record.verdict = out.certification.verdict.to_string();
-
-                cur = splice_schedule(&cur, j, &out.schedule);
-                // splice the new prediction in at the measured baseline
-                // *before* paying new setups: the suffix series' index 0
-                // is exactly those analyses' remaining fixed cost
-                for (t, r) in suffix_series.iter().enumerate() {
-                    predicted[j + t] = measured_cum + r.to_f64();
-                }
-                base_step = j;
-                base_measured = measured_cum;
-                base_rate = rp.resources.step_threshold;
-                for (i, a) in analyses.iter_mut().enumerate() {
-                    active[i] = out.schedule.per_analysis[i].count() > 0;
-                    if active[i] && !set_up[i] {
-                        let mut span = trace.span(SPAN_ANALYSIS_SETUP);
-                        span.tag("analysis", i);
-                        span.tag("name", a.name());
-                        let sw = Stopwatch::start();
-                        a.setup(sim.state());
-                        times[i].setup = sw.elapsed();
-                        measured_cum += times[i].setup;
-                        set_up[i] = true;
-                    }
-                }
-            }
-            Err(e) => {
-                record.verdict = e;
-            }
-        }
-
-        resched_span.tag("solve_ms", record.solve_ms);
-        resched_span.tag("adopted", record.adopted);
-        trace.event(
-            EVENT_RESCHEDULE,
-            &[
-                ("step", record.step.into()),
-                ("reason", record.reason.to_string().as_str().into()),
-                ("drift", record.drift.into()),
-                ("measured_cum", record.measured_cum.into()),
-                ("predicted_cum", record.predicted_cum.into()),
-                ("remaining_steps", record.remaining_steps.into()),
-                ("solve_ms", record.solve_ms.into()),
-                ("old_objective", record.old_objective.into()),
-                ("new_objective", record.new_objective.into()),
-                ("adopted", record.adopted.into()),
-                ("verdict", record.verdict.as_str().into()),
-            ],
-        );
-        reschedules.push(record);
-    }
-    drop(run_span);
-
-    let kernel_telemetry = sim
-        .kernel_telemetry()
-        .map(|t| t.delta_since(&telemetry_baseline))
-        .unwrap_or_default();
-
+    let mut controller = Reschedule::new(problem, schedule, adaptive)?;
+    // the whole adaptive run shares one deterministic trace context, so
+    // its spans land in one lane of the Chrome export
+    let _run_ctx_guard = controller.run_ctx.enter();
+    let (run, schedule) = run_loop(sim, analyses, schedule, cfg, trace, &mut controller);
     Ok(AdaptiveReport {
-        run: RunReport {
-            sim_time,
-            analysis_times: times,
-            trace: CouplingTrace::from_schedule(&cur, steps, cfg.sim_output_every),
-            kernel_telemetry,
-        },
-        schedule: cur,
-        reschedules,
-        predicted,
+        run,
+        schedule,
+        reschedules: controller.reschedules,
+        predicted: controller.predicted,
     })
 }
 
@@ -1009,122 +854,6 @@ mod tests {
         let snap = reg.snapshot();
         assert_eq!(snap.counter("run.kernel.toy.step.calls"), Some(3));
         assert!(snap.meter("run.sim_s").is_some());
-    }
-
-    use insitu_types::{AnalysisProfile, ResourceConfig, ScheduleProblem};
-
-    /// Busy-waits a fixed wall-clock time per analyze call.
-    struct Spin {
-        name: String,
-        analyze_s: f64,
-    }
-    impl Analysis<usize> for Spin {
-        fn name(&self) -> &str {
-            &self.name
-        }
-        fn analyze(&mut self, _state: &usize) {
-            let sw = Stopwatch::start();
-            while sw.elapsed() < self.analyze_s {}
-        }
-    }
-
-    #[test]
-    fn adaptive_run_without_drift_keeps_the_static_schedule() {
-        let p = ScheduleProblem::new(
-            vec![AnalysisProfile::new("a")
-                .with_compute(0.001, 0.0)
-                .with_interval(2)],
-            // a budget vastly above anything a Recorder can spend
-            ResourceConfig::from_total_threshold(10, 10.0, 1e9, 1e9),
-        )
-        .unwrap();
-        let mut schedule = Schedule::empty(1);
-        schedule.per_analysis[0] = AnalysisSchedule::new(vec![4, 8], vec![8]);
-        let mut sim = CounterSim { step: 0, outputs: 0 };
-        let mut analyses: Vec<Box<dyn Analysis<usize>>> =
-            vec![Box::new(Recorder { name: "a".into(), ..Default::default() })];
-        let report = run_coupled_adaptive(
-            &mut sim,
-            &mut analyses,
-            &p,
-            &schedule,
-            &CouplerConfig { steps: 10, sim_output_every: 0 },
-            &AdaptiveConfig::default(),
-            &obs::TraceHandle::disabled(),
-        )
-        .unwrap();
-        assert!(report.reschedules.is_empty());
-        assert_eq!(report.schedule, schedule);
-        assert_eq!(report.run.analysis_times[0].analyze_count, 2);
-        assert_eq!(report.predicted.len(), 11);
-        assert_eq!(report.adopted_count(), 0);
-    }
-
-    #[test]
-    fn budget_blowout_triggers_an_adopted_reschedule() {
-        // modeled at 0.1 ms/analyze, the hog actually spins 5 ms; the
-        // first scheduled run blows the 1 ms/step pro-rated budget and
-        // the re-solve (measured ct = 5 ms vs 3 ms of remaining budget)
-        // must drop the remaining runs
-        let p = ScheduleProblem::new(
-            vec![AnalysisProfile::new("hog")
-                .with_compute(0.0001, 0.0)
-                .with_interval(2)],
-            ResourceConfig::from_total_threshold(8, 0.008, 1e9, 1e9),
-        )
-        .unwrap();
-        let mut schedule = Schedule::empty(1);
-        schedule.per_analysis[0] = AnalysisSchedule::new(vec![2, 4, 6, 8], vec![]);
-        let mut sim = CounterSim { step: 0, outputs: 0 };
-        let mut analyses: Vec<Box<dyn Analysis<usize>>> =
-            vec![Box::new(Spin { name: "hog".into(), analyze_s: 0.005 })];
-        let tracer = std::sync::Arc::new(obs::Tracer::with_capacity(512));
-        let report = run_coupled_adaptive(
-            &mut sim,
-            &mut analyses,
-            &p,
-            &schedule,
-            &CouplerConfig { steps: 8, sim_output_every: 0 },
-            &AdaptiveConfig::default(),
-            &obs::TraceHandle::new(tracer.clone()),
-        )
-        .unwrap();
-        assert_eq!(report.reschedules.len(), 1);
-        let r = &report.reschedules[0];
-        assert_eq!(r.step, 2);
-        assert_eq!(r.reason, TriggerReason::Budget);
-        assert!(r.adopted, "verdict: {}", r.verdict);
-        assert_ne!(r.verdict, "INVALID");
-        assert!(r.measured_cum > 0.002, "the hog's 5 ms run must show");
-        assert!(r.new_objective < r.old_objective);
-        // the composite schedule keeps the executed prefix, drops the rest
-        assert_eq!(report.schedule.per_analysis[0].analysis_steps, vec![2]);
-        assert_eq!(report.run.analysis_times[0].analyze_count, 1);
-        // within the total budget that the static schedule (4 spins =
-        // 20 ms vs 8 ms) could not have met
-        assert!(report.run.total_analysis_time() < 0.008);
-        // the reschedule span and event are both in the timeline
-        let tl = tracer.timeline();
-        let span = tl.spans_named(SPAN_RESCHEDULE).next().expect("span");
-        assert_eq!(span.tag_i64("step"), Some(2));
-        assert_eq!(span.tag("adopted").and_then(|v| v.as_bool()), Some(true));
-        let ev = tl.events_named(EVENT_RESCHEDULE).next().expect("event");
-        assert_eq!(ev.tag_i64("step"), Some(2));
-        assert_eq!(
-            ev.tag("reason").and_then(|v| v.as_str()),
-            Some("budget")
-        );
-        assert!(ev.tag_f64("solve_ms").is_some());
-        // every adaptive span/event carries the run's deterministic
-        // trace id (fingerprint-derived, so stable across reruns)
-        let expected = obs::TraceContext::derive(certify::fingerprint(&p).0, 0).trace_id;
-        assert!(tl.spans.iter().all(|s| s.trace_id == Some(expected)));
-        assert_eq!(ev.trace_id, Some(expected));
-        // the spliced prediction holds the run to the *measured* baseline
-        assert!(report.predicted[2] >= 0.005);
-        // a reschedule JSON export carries the v1 schema
-        let json = report.reschedules_json().to_string_pretty();
-        assert!(json.contains("reschedule/v1"));
     }
 
     #[test]

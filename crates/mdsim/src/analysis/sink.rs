@@ -64,7 +64,7 @@ mod tests {
 
     #[test]
     fn file_sink_appends() {
-        let dir = std::env::temp_dir().join(format!("mdsim_sink_{}", std::process::id()));
+        let dir = crate::temp_path("sink");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("out.txt");
         let _ = std::fs::remove_file(&path);

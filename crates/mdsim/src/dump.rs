@@ -201,17 +201,13 @@ mod tests {
     use super::*;
     use crate::builder::{water_ions, BuilderParams};
 
-    fn tmp(name: &str) -> std::path::PathBuf {
-        std::env::temp_dir().join(format!("mdsim_{}_{}", std::process::id(), name))
-    }
-
     #[test]
     fn round_trip_preserves_frames() {
         let mut s = water_ions(&BuilderParams {
             n_particles: 200,
             ..Default::default()
         });
-        let path = tmp("roundtrip.trj");
+        let path = crate::temp_path("roundtrip.trj");
         let mut w = TrajectoryWriter::create(&path).unwrap();
         let mut originals = Vec::new();
         for _ in 0..3 {
@@ -236,7 +232,7 @@ mod tests {
             n_particles: 100,
             ..Default::default()
         });
-        let path = tmp("size.trj");
+        let path = crate::temp_path("size.trj");
         let mut w = TrajectoryWriter::create(&path).unwrap();
         let f = Frame::capture(&s);
         w.write_frame(&f).unwrap();
@@ -248,7 +244,7 @@ mod tests {
 
     #[test]
     fn rejects_garbage_files() {
-        let path = tmp("garbage.trj");
+        let path = crate::temp_path("garbage.trj");
         std::fs::write(&path, b"not a trajectory").unwrap();
         assert!(TrajectoryReader::open(&path).is_err());
         std::fs::remove_file(&path).unwrap();
@@ -256,7 +252,7 @@ mod tests {
 
     #[test]
     fn empty_trajectory_reads_empty() {
-        let path = tmp("empty.trj");
+        let path = crate::temp_path("empty.trj");
         let w = TrajectoryWriter::create(&path).unwrap();
         w.finish().unwrap();
         let mut r = TrajectoryReader::open(&path).unwrap();

@@ -32,3 +32,13 @@ pub mod system;
 
 pub use builder::{rhodopsin_proxy, water_ions, BuilderParams};
 pub use system::{SimBox, Species, System, NUM_SPECIES};
+
+/// A temp-dir path named `mdsim_<pid>_<n>_<name>`, unique per call, so
+/// tests running in parallel never share a file.
+#[cfg(test)]
+pub(crate) fn temp_path(name: &str) -> std::path::PathBuf {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    std::env::temp_dir().join(format!("mdsim_{}_{n}_{name}", std::process::id()))
+}

@@ -180,7 +180,7 @@ mod tests {
         let mut s = System::new(SimBox::cubic(5.0), ForceField::none(), 0.01);
         s.add_particle(Species::Ion, [2.5, 2.5, 2.5], [0.0; 3]);
         let img = render_xz(&s, 32);
-        let path = std::env::temp_dir().join(format!("mdsim_render_{}.ppm", std::process::id()));
+        let path = crate::temp_path("render.ppm");
         img.write_ppm(&path).unwrap();
         let data = std::fs::read(&path).unwrap();
         assert!(data.starts_with(b"P6\n32 32\n255\n"));

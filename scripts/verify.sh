@@ -55,17 +55,6 @@ run bash -c 'time ./target/release/sim_bench --smoke --out target/BENCH_sim_smok
 # (full sweep: service_bench, committed as BENCH_service.json)
 run bash -c 'time ./target/release/service_bench --smoke --out target/BENCH_service_smoke.json'
 
-# timeline smoke: traced coupled run -> export timeline JSON + Chrome
-# trace -> re-parse and validate both, and check the drift report's
-# predicted series bitwise against certify's exact replay
-run ./target/release/timeline_smoke --out target
-
-# adaptive smoke: the docs/ADAPTIVE.md budget-blowout scenario — the
-# static schedule exceeds the budget, the closed-loop adaptive run must
-# recover within it, with the reschedule event in the exported timeline
-# and the adopted schedule certified
-run ./target/release/adaptive_smoke --out target
-
 # observability smoke: traced service batch at 1 vs 4 workers —
 # bitwise-identical objective histograms and trace-id sets, a trace id
 # on every span, per-request Chrome lanes, a forced certify-reject

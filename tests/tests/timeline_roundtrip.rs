@@ -4,17 +4,18 @@
 //! - the `obs/timeline/v1` JSON and Chrome trace-event exports re-parse
 //!   with the workspace JSON parser and agree with the in-memory
 //!   timeline record-for-record;
+//! - step spans come one per step, in step order, without overlapping;
 //! - the drift report's predicted series is **bitwise** equal to
-//!   `certify`'s exact Eq. 2–4 replay;
+//!   `certify`'s exact Eq. 2–4 replay, and its JSON re-parses;
+//! - a schedule that fits a stale model ends over its pro-rated budget
+//!   when the run is measured;
 //! - a run that overflows the ring reports the exact number of dropped
 //!   records and never reallocates the buffer.
 
 use insitu_core::attribution::attribute;
 use insitu_core::runtime::{run_coupled_traced, Analysis, CouplerConfig, SPAN_STEP};
 use insitu_types::json::Value;
-use insitu_types::{
-    AnalysisProfile, AnalysisSchedule, ResourceConfig, Schedule, ScheduleProblem,
-};
+use insitu_types::{AnalysisProfile, AnalysisSchedule, ResourceConfig, Schedule, ScheduleProblem};
 use mdsim::analysis::{a1_hydronium_rdf, a2_ion_rdf};
 use mdsim::{water_ions, BuilderParams, System};
 use std::sync::Arc;
@@ -53,7 +54,7 @@ fn traced_run(capacity: usize) -> (Arc<obs::Tracer>, Schedule, ScheduleProblem) 
     sys.tracer = handle.clone();
     let mut analyses: Vec<Box<dyn Analysis<System>>> =
         vec![Box::new(a1_hydronium_rdf()), Box::new(a2_ion_rdf())];
-    run_coupled_traced(
+    let report = run_coupled_traced(
         &mut sys,
         &mut analyses,
         &schedule,
@@ -63,6 +64,11 @@ fn traced_run(capacity: usize) -> (Arc<obs::Tracer>, Schedule, ScheduleProblem) 
         },
         &handle,
     );
+    assert!(report.sim_time > 0.0, "simulation did not run");
+    assert!(
+        report.kernel_telemetry.get("md.force").is_some(),
+        "per-kernel attribution missing from the run report"
+    );
     (tracer, schedule, problem)
 }
 
@@ -70,6 +76,7 @@ fn traced_run(capacity: usize) -> (Arc<obs::Tracer>, Schedule, ScheduleProblem) 
 fn json_export_round_trips_record_for_record() {
     let (tracer, _, _) = traced_run(8 * 1024);
     let tl = tracer.timeline();
+    tl.validate().expect("well-formed timeline");
     let doc = Value::parse(&tl.to_json_string()).expect("export parses");
     assert_eq!(
         doc.get("schema").and_then(Value::as_str),
@@ -82,6 +89,9 @@ fn json_export_round_trips_record_for_record() {
     let spans = doc.get("spans").and_then(Value::as_array).expect("spans");
     assert_eq!(spans.len(), tl.spans.len());
     for (got, want) in spans.iter().zip(&tl.spans) {
+        for key in ["id", "name", "tid", "start_ns", "dur_ns", "tags"] {
+            assert!(got.get(key).is_some(), "span field {key} present");
+        }
         assert_eq!(got.get("name").and_then(Value::as_str), Some(want.name));
         assert_eq!(
             got.get("start_ns").and_then(Value::as_f64),
@@ -100,6 +110,22 @@ fn json_export_round_trips_record_for_record() {
                 .and_then(|(_, v)| v.as_f64());
             assert_eq!(round_tripped, Some(step as f64));
         }
+    }
+
+    // step spans: one per step, in step order, none overlapping the next
+    let mut steps: Vec<_> = tl.spans_named(SPAN_STEP).collect();
+    steps.sort_by_key(|s| s.start_ns);
+    assert_eq!(steps.len(), STEPS);
+    for (k, s) in steps.iter().enumerate() {
+        assert_eq!(s.tag_i64("step"), Some(k as i64 + 1), "step order");
+    }
+    for w in steps.windows(2) {
+        assert!(
+            w[1].start_ns >= w[0].start_ns + w[0].dur_ns,
+            "step spans overlap: {:?} then {:?}",
+            (w[0].start_ns, w[0].dur_ns),
+            w[1].start_ns
+        );
     }
 }
 
@@ -122,11 +148,15 @@ fn chrome_export_is_a_valid_trace_event_array() {
     let mut step_events: Vec<(f64, f64)> = Vec::new();
     for e in events {
         let ph = e.get("ph").and_then(Value::as_str).expect("phase");
-        assert!(ph == "X" || ph == "i" || ph == "M");
+        assert!(ph == "X" || ph == "i" || ph == "M", "unexpected phase {ph}");
+        assert!(e.get("name").is_some());
         if ph == "M" {
             continue;
         }
         assert!(e.get("ts").and_then(Value::as_f64).is_some());
+        if ph == "X" {
+            assert!(e.get("dur").and_then(Value::as_f64).unwrap() >= 0.0);
+        }
         if ph == "X" && e.get("name").and_then(Value::as_str) == Some(SPAN_STEP) {
             step_events.push((
                 e.get("ts").and_then(Value::as_f64).unwrap(),
@@ -170,6 +200,41 @@ fn drift_report_predicted_series_matches_certify_bitwise() {
     for d in &drift.per_step {
         assert!(d.measured_cum.is_finite() && d.measured_cum > 0.0);
     }
+    Value::parse(&drift.to_json().to_string_pretty()).expect("drift JSON re-parses");
+}
+
+/// A schedule that is feasible under a stale model, run for real: the
+/// model prices every analysis at a nanosecond against a one-microsecond
+/// budget, so the schedule fits on paper while the measured wall-clock
+/// run ends over its pro-rated budget.
+#[test]
+fn stale_model_run_ends_over_the_pro_rated_budget() {
+    let (tracer, schedule, _) = traced_run(8 * 1024);
+    let budget_s = 1e-6;
+    let stale = ScheduleProblem::new(
+        vec![
+            AnalysisProfile::new("a1_hydronium_rdf")
+                .with_compute(1e-9, 6e6)
+                .with_output(1e-9, 2e6, 1)
+                .with_interval(4),
+            AnalysisProfile::new("a2_ion_rdf")
+                .with_compute(1e-9, 6e6)
+                .with_output(1e-9, 2e6, 1)
+                .with_interval(8),
+        ],
+        ResourceConfig::from_total_threshold(STEPS, budget_s, 2e9, 1e9),
+    )
+    .expect("valid problem");
+    let c = certify::certify(&stale, &schedule, None);
+    assert_ne!(c.verdict, certify::Verdict::Invalid, "{:?}", c.problems);
+
+    let drift = attribute(&stale, &schedule, &tracer.timeline()).expect("drift report");
+    assert!(drift.predicted_total <= budget_s);
+    assert!(
+        drift.per_step.last().unwrap().threshold_violated,
+        "the run must end over the pro-rated budget: {}",
+        drift.summary()
+    );
 }
 
 #[test]
@@ -195,7 +260,9 @@ fn overflowing_run_reports_exact_drop_count_without_reallocating() {
     assert_eq!(tiny_tl.dropped, (total - capacity) as u64);
     // the truncated timeline still validates (dangling parents are
     // expected and allowed once records have been dropped)
-    tiny_tl.validate().expect("truncated timeline still validates");
+    tiny_tl
+        .validate()
+        .expect("truncated timeline still validates");
     // and every surviving child span still carries its own step tag, so
     // attribution keeps working under overload
     for s in tiny_tl.spans_named(insitu_core::runtime::SPAN_ANALYSIS_ANALYZE) {
